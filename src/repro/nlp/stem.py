@@ -10,6 +10,8 @@ false positives).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = ["PorterStemmer", "stem"]
 
 _VOWELS = frozenset("aeiou")
@@ -222,20 +224,33 @@ class PorterStemmer:
         """Stem a single lowercase token.
 
         Tokens of length <= 2 are returned unchanged (per the original
-        algorithm's guard).
+        algorithm's guard).  Results come from a bounded module-level memo
+        keyed by the raw token: the step chain is a pure function of it,
+        and a comment corpus repeats a small vocabulary many times over.
         """
-        word = token.lower()
-        if len(word) <= 2:
-            return word
-        word = self._step_1a(word)
-        word = self._step_1b(word)
-        word = self._step_1c(word)
-        word = self._replace_if_m_positive(word, self._STEP2_SUFFIXES)
-        word = self._replace_if_m_positive(word, self._STEP3_SUFFIXES)
-        word = self._step_4(word)
-        word = self._step_5a(word)
-        word = self._step_5b(word)
+        return _memo_stem(token)
+
+
+def _step_chain(token: str) -> str:
+    """The full Porter step chain, uncached."""
+    word = token.lower()
+    if len(word) <= 2:
         return word
+    word = PorterStemmer._step_1a(word)
+    word = PorterStemmer._step_1b(word)
+    word = PorterStemmer._step_1c(word)
+    word = PorterStemmer._replace_if_m_positive(word, PorterStemmer._STEP2_SUFFIXES)
+    word = PorterStemmer._replace_if_m_positive(word, PorterStemmer._STEP3_SUFFIXES)
+    word = PorterStemmer._step_4(word)
+    word = PorterStemmer._step_5a(word)
+    word = PorterStemmer._step_5b(word)
+    return word
+
+
+# Memo bound: far above the distinct-token count of any corpus the
+# pipeline scores, small enough (a few MB) to never matter for memory.
+_MEMO_SIZE = 1 << 16
+_memo_stem = lru_cache(maxsize=_MEMO_SIZE)(_step_chain)
 
 
 _DEFAULT = PorterStemmer()

@@ -8,6 +8,7 @@ against stemmed vocabulary sets, mirroring the dictionary scorer.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,12 +81,11 @@ class CommentFeatures:
         )
 
 
+_BANG_RUN = re.compile(r"!+")
+
+
 def _longest_bang_run(text: str) -> int:
-    longest = run = 0
-    for ch in text:
-        run = run + 1 if ch == "!" else 0
-        longest = max(longest, run)
-    return longest
+    return max(map(len, _BANG_RUN.findall(text)), default=0)
 
 
 def extract_features(text: str) -> CommentFeatures:

@@ -28,6 +28,7 @@ from repro.nlp.lexicons import (
     RUDE_VOCAB,
     hate_vocab,
 )
+from repro.platform.draws import cumulative, pick, pick_weighted
 from repro.platform.entities import CommentLatent
 
 __all__ = ["CommentTextGenerator", "EMISSION"]
@@ -100,12 +101,15 @@ class CommentTextGenerator:
         # dominate — real English character statistics, which is what
         # lets the language identifier work on short comments.
         ranks = np.arange(1, len(self._benign) + 1, dtype=float)
-        self._benign_probs = (1.0 / (ranks + 4.0))
-        self._benign_probs /= self._benign_probs.sum()
-        self._offensive = np.asarray(OFFENSIVE_VOCAB)
-        self._obscene = np.asarray(OBSCENE_VOCAB)
-        self._rude = np.asarray(RUDE_VOCAB)
-        self._hate = np.asarray(hate_vocab())
+        benign_probs = 1.0 / (ranks + 4.0)
+        benign_probs /= benign_probs.sum()
+        # Per-word draws go through repro.platform.draws: the same stream
+        # as rng.choice at a fraction of its per-call cost.
+        self._benign_cdf = cumulative(benign_probs)
+        self._pools = (
+            OFFENSIVE_VOCAB, OBSCENE_VOCAB, tuple(hate_vocab()), RUDE_VOCAB,
+            BENIGN_VOCAB,
+        )
 
     def generate(self, latent: CommentLatent, language: str = "en") -> str:
         """Emit one comment's text."""
@@ -124,12 +128,10 @@ class CommentTextGenerator:
         probs = np.concatenate([rates, [benign_rate]])
         probs = probs / probs.sum()
 
-        pools = (self._offensive, self._obscene, self._hate, self._rude, self._benign)
+        pools, cdf = self._pools, self._benign_cdf
         choices = rng.choice(len(pools), size=length, p=probs)
         words = [
-            str(rng.choice(self._benign, p=self._benign_probs))
-            if c == 4
-            else str(rng.choice(pools[c]))
+            pick_weighted(rng, BENIGN_VOCAB, cdf) if c == 4 else pick(rng, pools[c])
             for c in choices
         ]
 
@@ -140,8 +142,8 @@ class CommentTextGenerator:
 
         text = " ".join(words)
         if EMISSION.fires_attack(latent):
-            phrase = str(rng.choice(np.asarray(ATTACK_PHRASES)))
-            insult = str(rng.choice(self._offensive))
+            phrase = pick(rng, ATTACK_PHRASES)
+            insult = pick(rng, OFFENSIVE_VOCAB)
             text = f"{phrase} {insult}. {text}"
         if latent.reject > 0.75:
             # Exclamation run length grows with rejection-worthiness: a

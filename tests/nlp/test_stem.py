@@ -1,9 +1,25 @@
 """Tests for the Porter stemmer against the algorithm's canonical examples."""
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.nlp.stem import PorterStemmer, stem
+from repro.core.scoring import ScoreStore
+from repro.nlp.dictionary import build_synthetic_hatebase
+from repro.nlp.langid import SEED_CORPORA
+from repro.nlp.lexicons import (
+    ATTACK_PHRASES,
+    BENIGN_VOCAB,
+    OBSCENE_VOCAB,
+    OFFENSIVE_VOCAB,
+    RUDE_VOCAB,
+    hate_vocab,
+)
+from repro.nlp.stem import PorterStemmer, _memo_stem, _step_chain, stem
+from repro.platform.entities import CommentLatent
+from repro.platform.textgen import CommentTextGenerator
 
 # Canonical examples from Porter's 1980 paper, step by step.
 CANONICAL = [
@@ -112,3 +128,57 @@ class TestStemmerBehaviour:
         result = stem(word)
         assert result
         assert result == result.lower()
+
+
+class TestStemMemo:
+    """``PorterStemmer.stem`` goes through a bounded module-level memo."""
+
+    @staticmethod
+    def _vocabulary() -> list[str]:
+        words = [
+            *BENIGN_VOCAB, *OFFENSIVE_VOCAB, *OBSCENE_VOCAB, *RUDE_VOCAB,
+            *hate_vocab(), *build_synthetic_hatebase(),
+            *(w for phrase in ATTACK_PHRASES for w in phrase.split()),
+            *(w for text in SEED_CORPORA.values() for w in text.split()),
+        ]
+        return words + [w.upper() for w in words]
+
+    def test_memo_equals_uncached_chain_on_every_vocabulary_word(self):
+        stemmer = PorterStemmer()
+        for word in self._vocabulary():
+            expected = _step_chain(word)
+            assert stemmer.stem(word) == expected   # miss (or earlier hit)
+            assert stemmer.stem(word) == expected   # hit
+
+    @given(st.text(max_size=24))
+    def test_memo_equals_uncached_chain_on_any_text(self, word):
+        assert stem(word) == _step_chain(word)
+        assert stem(word) == _step_chain(word)
+
+    def test_memo_size_stays_bounded(self):
+        bound = _memo_stem.cache_info().maxsize
+        assert bound is not None
+        try:
+            # Two-character tokens skip the step chain, so overfilling
+            # the memo stays cheap.
+            for i in range(bound + 1000):
+                stem(chr(0x4E00 + i % 20000) + str(i // 20000))
+            info = _memo_stem.cache_info()
+            assert info.currsize <= bound
+            assert info.misses >= bound + 1000
+        finally:
+            _memo_stem.cache_clear()
+
+    def test_thread_parallel_scoring_matches_serial(self):
+        rng = np.random.default_rng(5)
+        gen = CommentTextGenerator(rng)
+        texts = [
+            gen.generate(CommentLatent(*(float(x) for x in rng.random(4))))
+            for _ in range(300)
+        ]
+
+        def run(workers: int) -> str:
+            _memo_stem.cache_clear()
+            return json.dumps(ScoreStore(workers=workers).score_many(texts))
+
+        assert run(2) == run(0)

@@ -12,7 +12,7 @@ from repro.perspective import (
     QuotaExceeded,
     score_comment,
 )
-from repro.perspective.lexicon import extract_features
+from repro.perspective.lexicon import _longest_bang_run, extract_features
 from repro.platform.entities import CommentLatent
 from repro.platform.textgen import CommentTextGenerator
 
@@ -125,6 +125,28 @@ class TestFeatureExtraction:
     def test_attack_phrase_flag(self):
         f = extract_features("honestly the author is a total fraud")
         assert f.has_attack_phrase
+
+
+class TestLongestBangRun:
+    @pytest.mark.parametrize("text,expected", [
+        ("", 0),
+        ("no bangs here", 0),
+        ("!!! leading run", 3),
+        ("trailing run!!!!", 4),
+        ("one! two!!! three!! four!", 3),
+        ("!!x!!!!x!", 4),
+        ("!", 1),
+    ])
+    def test_longest_run(self, text, expected):
+        assert _longest_bang_run(text) == expected
+
+    @given(st.text(alphabet="!a ", max_size=40))
+    def test_matches_per_character_scan(self, text):
+        longest = run = 0
+        for ch in text:
+            run = run + 1 if ch == "!" else 0
+            longest = max(longest, run)
+        assert _longest_bang_run(text) == longest
 
 
 class TestPerspectiveClient:
