@@ -409,7 +409,8 @@ class ReproductionPipeline:
         # ---- §3.1: Gab ID-space enumeration -------------------------
         if stage == "gab_enum":
             gab_enum = self.enumerate_gab(checkpointer=checkpointer, resume=active)
-            artifacts["gab_enum"] = gab_enum.to_dict()
+            if checkpointer is not None:
+                artifacts["gab_enum"] = gab_enum.to_dict()
             advance("dissenter_detect")
         else:
             gab_enum = GabEnumerationResult.from_dict(artifacts["gab_enum"])
@@ -442,7 +443,8 @@ class ReproductionPipeline:
             while crawler.stats.comment_pages_failed:
                 if crawler.recrawl_failures(corpus) == 0:
                     break
-            artifacts["corpus"] = corpus.snapshot()
+            if checkpointer is not None:
+                artifacts["corpus"] = corpus.snapshot()
             advance("shadow")
         elif _stage_done(stage, "dissenter_crawl"):
             corpus = self._new_store()
@@ -457,7 +459,8 @@ class ReproductionPipeline:
                 resume=active,
                 pool=self._pool_for("shadow"),
             )
-            artifacts["corpus"] = corpus.snapshot()
+            if checkpointer is not None:
+                artifacts["corpus"] = corpus.snapshot()
             advance("youtube")
 
         # The corpus is complete: freeze it so the secondary indexes
@@ -475,7 +478,8 @@ class ReproductionPipeline:
                 resume=active,
                 pool=self._pool_for("youtube"),
             )
-            artifacts["youtube"] = youtube_crawl.to_dict()
+            if checkpointer is not None:
+                artifacts["youtube"] = youtube_crawl.to_dict()
             advance("social")
         elif _stage_done(stage, "youtube"):
             youtube_crawl = YouTubeCrawlResult.from_dict(artifacts["youtube"])
@@ -497,7 +501,8 @@ class ReproductionPipeline:
                 resume=active,
                 pool=self._pool_for("social"),
             )
-            artifacts["social"] = raw_social.to_dict()
+            if checkpointer is not None:
+                artifacts["social"] = raw_social.to_dict()
             advance("tail")
         elif _stage_done(stage, "social"):
             raw_social = SocialCrawlResult.from_dict(artifacts["social"])

@@ -1,8 +1,10 @@
 """HTML/JSON parsers for the crawled pages.
 
-Regex-based extraction against the stable markup the origins emit.  Every
-parser is total: malformed pages yield ``None`` or empty collections, and
-the crawler's validation pass re-requests anything that failed to parse.
+Regex-based extraction against the stable markup the origins emit.  The
+page parsers search from the ``<body>`` tag, or from 0 when a page has
+none: nothing they extract lives in ``<head>``.  Every parser is total:
+malformed pages yield ``None`` or empty collections, and the crawler's
+validation pass re-requests anything that failed to parse.
 """
 
 from __future__ import annotations
@@ -58,27 +60,42 @@ def _unescape(markup: str) -> str:
     return _html.unescape(markup)
 
 
+def _body_start(body: str) -> int:
+    """Offset of the ``<body>`` tag, or 0 for a page without one.
+
+    Every real page carries ~9 kB of stylesheet filler in its ``<head>``
+    and nothing a parser extracts, so each search starts here instead of
+    rescanning the filler.
+    """
+    return max(body.find("<body>"), 0)
+
+
 def parse_user_page(body: str) -> CrawledUser | None:
     """Parse a Dissenter home page into a :class:`CrawledUser`."""
-    author_id = _AUTHOR_ID_RE.search(body)
-    username = _USERNAME_RE.search(body)
+    start = _body_start(body)
+    author_id = _AUTHOR_ID_RE.search(body, start)
+    username = _USERNAME_RE.search(body, start)
     if author_id is None or username is None:
         return None
-    display = _DISPLAY_NAME_RE.search(body)
-    bio = _BIO_RE.search(body)
+    display = _DISPLAY_NAME_RE.search(body, start)
+    bio = _BIO_RE.search(body, start)
     return CrawledUser(
         username=_unescape(username.group(1)),
         author_id=author_id.group(1),
         display_name=_unescape(display.group(1)) if display else "",
         bio=_unescape(bio.group(1)) if bio else "",
-        commented_url_ids=_URL_ITEM_RE.findall(body),
+        commented_url_ids=_URL_ITEM_RE.findall(body, start),
     )
 
 
 def parse_comments(body: str) -> list[CrawledComment]:
     """Extract every comment block from a page."""
+    return _comments_from(body, _body_start(body))
+
+
+def _comments_from(body: str, start: int) -> list[CrawledComment]:
     comments: list[CrawledComment] = []
-    for match in _COMMENT_RE.finditer(body):
+    for match in _COMMENT_RE.finditer(body, start):
         comment_id, author_id, parent_id, created, text = match.groups()
         comments.append(
             CrawledComment(
@@ -97,13 +114,14 @@ def parse_comment_page(
     body: str,
 ) -> tuple[CrawledUrl | None, list[CrawledComment]]:
     """Parse a discussion page into URL-level data plus its comments."""
-    commenturl_id = _COMMENTURL_ID_RE.search(body)
+    start = _body_start(body)
+    commenturl_id = _COMMENTURL_ID_RE.search(body, start)
     if commenturl_id is None:
         return None, []
-    title = _TITLE_RE.search(body)
-    description = _DESCRIPTION_RE.search(body)
-    target = _TARGET_URL_RE.search(body)
-    votes = _VOTES_RE.search(body)
+    title = _TITLE_RE.search(body, start)
+    description = _DESCRIPTION_RE.search(body, start)
+    target = _TARGET_URL_RE.search(body, start)
+    votes = _VOTES_RE.search(body, start)
     url = CrawledUrl(
         commenturl_id=commenturl_id.group(1),
         url=_unescape(target.group(1)) if target else "",
@@ -112,7 +130,7 @@ def parse_comment_page(
         upvotes=int(votes.group(1)) if votes else 0,
         downvotes=int(votes.group(2)) if votes else 0,
     )
-    comments = parse_comments(body)
+    comments = _comments_from(body, start)
     for comment in comments:
         comment.commenturl_id = url.commenturl_id
     return url, comments
@@ -124,7 +142,7 @@ def parse_comment_author_blob(body: str) -> dict | None:
     The variable is commented out in the served JavaScript (§3.2) — the
     parser reads through the ``//`` prefix just as the paper's did.
     """
-    match = _COMMENT_AUTHOR_RE.search(body)
+    match = _COMMENT_AUTHOR_RE.search(body, _body_start(body))
     if match is None:
         return None
     try:
@@ -142,7 +160,7 @@ def parse_youtube_page(url: str, body: str) -> CrawledYouTubeItem | None:
     This is the "Selenium" step: the static HTML title is useless, the
     data lives in JavaScript.
     """
-    match = _YT_BLOB_RE.search(body)
+    match = _YT_BLOB_RE.search(body, _body_start(body))
     if match is None:
         return None
     try:

@@ -88,6 +88,8 @@ class CookieJar:
 
     def ingest_response(self, url: str, set_cookie_values: list[str]) -> None:
         """Store cookies from a response's Set-Cookie headers."""
+        if not set_cookie_values:
+            return
         host = urlsplit(url).netloc.lower()
         for value in set_cookie_values:
             self.set(parse_set_cookie(value, default_domain=host))
@@ -128,6 +130,8 @@ class CookieJar:
 
     def cookie_header_for(self, url: str) -> str | None:
         """Assemble the Cookie header for a request URL, or None."""
+        if not self._cookies:
+            return None
         parts = urlsplit(url)
         host = parts.netloc.lower()
         path = parts.path or "/"

@@ -43,11 +43,15 @@ class Headers:
     """
 
     def __init__(self, items: Mapping[str, str] | Iterable[tuple[str, str]] = ()) -> None:
-        self._items: list[tuple[str, str]] = []
-        if isinstance(items, Mapping):
+        # dict and list are tested first: the Mapping ABC ``isinstance``
+        # is far slower, and every request and response builds a Headers.
+        if isinstance(items, dict) or (
+            not isinstance(items, list) and isinstance(items, Mapping)
+        ):
             items = items.items()
-        for name, value in items:
-            self.add(name, value)
+        self._items: list[tuple[str, str]] = [
+            (name, str(value)) for name, value in items
+        ]
 
     def add(self, name: str, value: str) -> None:
         """Append a header, keeping any existing values with the same name."""
@@ -83,7 +87,9 @@ class Headers:
         return f"Headers({self._items!r})"
 
     def copy(self) -> "Headers":
-        return Headers(self._items)
+        clone = Headers.__new__(Headers)
+        clone._items = list(self._items)
+        return clone
 
 
 def url_with_params(url: str, params: Mapping[str, Any] | None) -> str:
@@ -99,6 +105,11 @@ def url_with_params(url: str, params: Mapping[str, Any] | None) -> str:
 class Request:
     """An outbound HTTP request.
 
+    The URL is split once, at construction, into ``scheme``, ``host``
+    (lower-cased), ``path`` (``/`` when empty) and ``query_string``.
+    ``url`` is therefore fixed after construction: build a new Request
+    for a different URL rather than assigning to it.
+
     Attributes:
         method: HTTP verb, upper-case.
         url: absolute URL including scheme and host.
@@ -110,6 +121,10 @@ class Request:
     url: str
     headers: Headers = field(default_factory=Headers)
     body: bytes = b""
+    scheme: str = field(init=False, repr=False, compare=False)
+    host: str = field(init=False, repr=False, compare=False)
+    path: str = field(init=False, repr=False, compare=False)
+    query_string: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.method = self.method.upper()
@@ -118,23 +133,15 @@ class Request:
             raise ValueError(f"unsupported URL scheme in {self.url!r}")
         if not parts.netloc:
             raise ValueError(f"URL must be absolute: {self.url!r}")
-
-    @property
-    def host(self) -> str:
-        return urlsplit(self.url).netloc.lower()
-
-    @property
-    def path(self) -> str:
-        return urlsplit(self.url).path or "/"
+        self.scheme = parts.scheme
+        self.host = parts.netloc.lower()
+        self.path = parts.path or "/"
+        self.query_string = parts.query
 
     @property
     def query(self) -> dict[str, str]:
-        """Query parameters (last value wins on duplicates)."""
-        return dict(parse_qsl(urlsplit(self.url).query, keep_blank_values=True))
-
-    @property
-    def scheme(self) -> str:
-        return urlsplit(self.url).scheme
+        """Query parameters (last value wins on duplicates); a fresh dict."""
+        return dict(parse_qsl(self.query_string, keep_blank_values=True))
 
     def cookie_header(self) -> str | None:
         return self.headers.get("Cookie")

@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol, Sequence, TypeVar
 
-from repro.net.clock import Clock
+from repro.net.clock import Clock, VirtualClock
 
 __all__ = ["FetchPool", "FetchPoolStats"]
 
@@ -112,6 +112,7 @@ class FetchPool:
         if parse_workers < 0:
             raise ValueError("parse_workers must be >= 0")
         self._clock = clock
+        self._flight_clock = clock if isinstance(clock, VirtualClock) else None
         self.connections = int(connections)
         self._parse_workers = int(parse_workers)
         self._executor: ThreadPoolExecutor | None = None
@@ -180,6 +181,26 @@ class FetchPool:
         self.stats.makespan_seconds = self._makespan   # repro: allow CONC001 coordinator-only
         return self._makespan - previous
 
+    def _open_flight(self) -> float:
+        """Start accounting one flight.
+
+        Returns the start time :meth:`_close_flight` needs on a clock
+        without flight capture (0.0, unused, otherwise).
+        """
+        if self._flight_clock is not None:
+            self._flight_clock.begin_flight()
+            return 0.0
+        return self._clock.now()
+
+    def _close_flight(self, start: float) -> None:
+        """Schedule the flight opened by :meth:`_open_flight`."""
+        if self._flight_clock is not None:
+            captured = self._flight_clock.end_flight()
+            delta = self._schedule(captured)
+            self._flight_clock.charge_concurrent(delta)
+        else:
+            self._schedule(self._clock.now() - start)
+
     @contextmanager
     def flight(self) -> Iterator[None]:
         """Account one fetch (plus its retries and waits) as a flight.
@@ -190,21 +211,11 @@ class FetchPool:
         ``CrawlKilled``) still schedule the partial duration — the time
         was spent — and propagate.
         """
-        begin = getattr(self._clock, "begin_flight", None)
-        if begin is None:
-            start = self._clock.now()
-            try:
-                yield
-            finally:
-                self._schedule(self._clock.now() - start)
-            return
-        begin()
+        start = self._open_flight()
         try:
             yield
         finally:
-            captured = self._clock.end_flight()
-            delta = self._schedule(captured)
-            self._clock.charge_concurrent(delta)
+            self._close_flight(start)
 
     # ------------------------------------------------------------------
     # The windowed fetch/parse/merge engine.
@@ -251,15 +262,19 @@ class FetchPool:
             fetched: list[tuple[J, object]] = []
             failure: BaseException | None = None
             for job in jobs:
+                # flight() without the generator: this runs per request.
+                start = self._open_flight()
                 try:
-                    with self.flight():
-                        fetched.append((job, fetch(job)))
+                    raw = fetch(job)
                 except Exception as exc:
                     # Merge the completed prefix before propagating, so
                     # the last checkpoint matches a sequential crawl
                     # dying at the same request boundary.
                     failure = exc
                     break
+                finally:
+                    self._close_flight(start)
+                fetched.append((job, raw))
             executor = self._pool() if parse is not None else None
             if parse is None:
                 parsed = [raw for _, raw in fetched]

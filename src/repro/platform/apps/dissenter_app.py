@@ -34,7 +34,7 @@ from repro.net.ratelimit import KeyedRateLimiter
 from repro.net.router import App
 from repro.platform.apps.html import escape, page, tiny_error
 from repro.platform.dissenter import DissenterState
-from repro.platform.entities import Comment
+from repro.platform.entities import Comment, CommentUrl
 
 __all__ = ["DissenterApp"]
 
@@ -54,6 +54,11 @@ class DissenterApp(App):
         self._clock = clock
         self._sessions: dict[str, tuple[bool, bool]] = {}
         self._urls_by_id = state.urls.by_id()
+        # Target URL -> its record; the first record wins, as the
+        # submission flow's linear scan did.
+        self._urls_by_target: dict[str, CommentUrl] = {}
+        for record in state.urls.urls:
+            self._urls_by_target.setdefault(record.url, record)
         self._comment_index = {c.comment_id.hex: c for c in state.comments}
         # Per-URL "does any comment carry this flag" index, so the
         # render-memo key can drop view filters that cannot change the
@@ -242,11 +247,9 @@ class DissenterApp(App):
         target = request.query.get("url", "")
         if not target:
             return Response.html(tiny_error("missing url"), status=400)
-        for record in self._state.urls.urls:
-            if record.url == target:
-                return Response.redirect(
-                    f"/discussion/{record.commenturl_id.hex}"
-                )
+        record = self._urls_by_target.get(target)
+        if record is not None:
+            return Response.redirect(f"/discussion/{record.commenturl_id.hex}")
         # Unknown URL: an empty comment page inviting the first comment.
         body = (
             '<h1 class="page-title">New discussion</h1>\n'

@@ -21,7 +21,7 @@ import datetime
 import json
 
 from repro.net.clock import Clock
-from repro.net.http import Request, Response
+from repro.net.http import Headers, Request, Response
 from repro.net.router import App
 from repro.platform.apps.html import page, tiny_error
 from repro.platform.entities import GabAccount
@@ -45,6 +45,10 @@ class GabApp(App):
         self._clock = clock
         self._window_start = clock.now()
         self._window_used = 0
+        # gab_id -> serialized account record.  The universe and follow
+        # graph are fixed once the world is built, so each record is
+        # serialized once per app instead of once per response.
+        self._account_bodies: dict[int, bytes] = {}
         self.use(self._rate_limit)
         self.get("/api/v1/accounts/{gab_id}")(self._account)
         self.get("/api/v1/accounts/{gab_id}/followers")(self._followers)
@@ -90,6 +94,24 @@ class GabApp(App):
             return None
         return account
 
+    def _account_body(self, account: GabAccount) -> bytes:
+        """The account's JSON record, serialized once per app."""
+        body = self._account_bodies.get(account.gab_id)
+        if body is None:
+            body = json.dumps(self._account_json(account)).encode("utf-8")
+            self._account_bodies[account.gab_id] = body
+        return body
+
+    def _json_body(self, body: bytes) -> Response:
+        """A 200 JSON response around already-serialized bytes."""
+        response = Response(
+            status=200,
+            headers=Headers({"Content-Type": "application/json"}),
+            body=body,
+        )
+        self._attach_headers(response)
+        return response
+
     def _account_json(self, account: GabAccount) -> dict:
         created = datetime.datetime.fromtimestamp(
             account.created_at, tz=datetime.timezone.utc
@@ -118,9 +140,7 @@ class GabApp(App):
         account = self._lookup(params["gab_id"])
         if account is None:
             return self._json_error("Record not found")
-        response = Response.json_response(self._account_json(account))
-        self._attach_headers(response)
-        return response
+        return self._json_body(self._account_body(account))
 
     def _paginated_accounts(
         self, request: Request, gab_ids: list[int]
@@ -131,14 +151,14 @@ class GabApp(App):
             page_number = 1
         start = (page_number - 1) * PAGE_SIZE
         window = gab_ids[start : start + PAGE_SIZE]
-        payload = [
-            self._account_json(self._gab.by_id[g])
+        by_id = self._gab.by_id
+        bodies = [
+            self._account_body(by_id[g])
             for g in window
-            if g in self._gab.by_id and not self._gab.by_id[g].is_deleted
+            if g in by_id and not by_id[g].is_deleted
         ]
-        response = Response.json_response(payload)
-        self._attach_headers(response)
-        return response
+        # The bytes json.dumps gives the list with default separators.
+        return self._json_body(b"[" + b", ".join(bodies) + b"]")
 
     def _followers(self, request: Request, params: dict[str, str]) -> Response:
         account = self._lookup(params["gab_id"])

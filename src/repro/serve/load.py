@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.net.http import Request, url_with_params
+from repro.net.http import Headers, Request, url_with_params
 from repro.net.transport import LoopbackTransport
 from repro.serve.api import ServeApp
 
@@ -253,19 +253,21 @@ class LoadGenerator:
         histogram = [0] * (len(edges) + 1)
         start = self._clock.now()
         tags = [tag for tag, _ in ENDPOINT_MIX]
+        # Plain Python lists: indexing a numpy array per element boxes a
+        # numpy scalar each time.
+        gaps = schedule["gaps"].tolist()
+        endpoints = schedule["endpoints"].tolist()
+        url_picks = schedule["urls"].tolist()
+        name_picks = schedule["names"].tolist()
+        misses = schedule["misses"].tolist()
+        users = schedule["users"].tolist()
         for i in range(self.n_requests):
-            gap = float(schedule["gaps"][i])
+            gap = gaps[i]
             if gap > 0:
                 self._clock.sleep(gap)
-            tag = tags[min(int(schedule["endpoints"][i]), len(tags) - 1)]
-            url = self._request_url(
-                tag,
-                int(schedule["urls"][i]),
-                int(schedule["names"][i]),
-                bool(schedule["misses"][i]),
-                i,
-            )
-            client = f"u{int(schedule['users'][i])}"
+            tag = tags[min(endpoints[i], len(tags) - 1)]
+            url = self._request_url(tag, url_picks[i], name_picks[i], misses[i], i)
+            client = f"u{users[i]}"
             response = self._send(url, client)
             if response.status == 429:
                 # Honour the advertised wait once; the ulp-safe
@@ -311,7 +313,5 @@ class LoadGenerator:
         return report
 
     def _send(self, url: str, client: str):
-        request = Request(method="GET", url=url)
-        request.headers.set("X-Client-Id", client)
-        request.headers.set("Accept", "application/json")
-        return self._transport.send(request)
+        headers = Headers([("X-Client-Id", client), ("Accept", "application/json")])
+        return self._transport.send(Request(method="GET", url=url, headers=headers))

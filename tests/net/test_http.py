@@ -1,5 +1,7 @@
 """Tests for the HTTP message model."""
 
+from types import MappingProxyType
+
 import pytest
 
 from repro.net.errors import HTTPStatusError
@@ -34,6 +36,35 @@ class TestHeaders:
         c.set("A", "2")
         assert h.get("A") == "1"
 
+    def test_copy_add_does_not_reach_original(self):
+        h = Headers([("A", "1")])
+        c = h.copy()
+        c.add("B", "2")
+        h.add("C", "3")
+        assert list(c) == [("A", "1"), ("B", "2")]
+        assert list(h) == [("A", "1"), ("C", "3")]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            {"Accept": "*/*", "X-Count": 3},
+            MappingProxyType({"Accept": "*/*", "X-Count": 3}),
+            [("Accept", "*/*"), ("X-Count", 3)],
+            (("Accept", "*/*"), ("X-Count", 3)),
+        ],
+        ids=["dict", "mappingproxy", "list", "tuple"],
+    )
+    def test_built_from_any_pair_source(self, source):
+        h = Headers(source)
+        assert list(h) == [("Accept", "*/*"), ("X-Count", "3")]
+        assert h.get("x-count") == "3"
+
+    def test_list_source_is_not_aliased(self):
+        pairs = [("A", "1")]
+        h = Headers(pairs)
+        h.add("B", "2")
+        assert pairs == [("A", "1")]
+
 
 class TestRequest:
     def test_parses_parts(self):
@@ -46,6 +77,32 @@ class TestRequest:
 
     def test_root_path_default(self):
         assert Request("GET", "https://example.com").path == "/"
+        assert Request("GET", "https://example.com?q=1").path == "/"
+
+    def test_host_lower_cased_and_scheme_normalised(self):
+        r = Request("GET", "HTTPS://Dissenter.COM/User/Alice?Page=2")
+        assert r.host == "dissenter.com"
+        assert r.scheme == "https"
+        # Only the host is case-folded: path and query keep their bytes.
+        assert r.path == "/User/Alice"
+        assert r.query_string == "Page=2"
+        assert r.url == "HTTPS://Dissenter.COM/User/Alice?Page=2"
+
+    def test_query_returns_an_independent_dict(self):
+        r = Request("GET", "https://e.com/p?a=1&a=2&b=")
+        first = r.query
+        assert first == {"a": "2", "b": ""}
+        first["a"] = "changed"
+        first["c"] = "new"
+        assert r.query == {"a": "2", "b": ""}
+        assert r.query is not r.query
+
+    def test_split_fields_stay_out_of_repr(self):
+        assert "host=" not in repr(Request("GET", "https://E.com/x"))
+
+    def test_rejects_missing_netloc(self):
+        with pytest.raises(ValueError, match="absolute"):
+            Request("GET", "https:///no-host")
 
     def test_rejects_relative_url(self):
         with pytest.raises(ValueError):
